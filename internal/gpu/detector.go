@@ -24,12 +24,15 @@ type LaneAccess struct {
 // a race detector: the per-lane accesses plus the metadata the paper's
 // request packets carry (sync ID, fence ID, atomic IDs).
 //
-// Ownership: the event and its Lanes slice belong to the caller and
-// are valid ONLY for the duration of the Detector.WarpMem call — the
-// simulator reuses the backing storage for the next instruction.
-// Detectors (and recorders) that process events asynchronously or
-// journal them must copy what they keep into owned buffers before
-// returning; retaining the pointer or the Lanes slice is a data race.
+// Ownership: the event and its Lanes slice belong to the device and
+// are valid ONLY for the duration of the Detector.WarpMem call. Each
+// SM keeps one event and one Lanes array and reuses them for every
+// memory instruction it executes, so the next instruction on that SM
+// overwrites both. Detectors (and recorders) that process events
+// asynchronously or journal them must copy what they keep into owned
+// buffers before returning; a detector that retains the pointer or the
+// Lanes slice reads another instruction's accesses (or races with the
+// simulator, if it reads from another goroutine).
 type WarpMemEvent struct {
 	Space  isa.Space
 	Write  bool

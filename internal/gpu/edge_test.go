@@ -261,24 +261,3 @@ func TestMemoryContentionVisible(t *testing.T) {
 		t.Fatalf("no contention visible: 1 block %d cycles, 8 blocks %d", one, many)
 	}
 }
-
-// BenchmarkSimulatorThroughput measures the engine's host-side speed
-// in simulated thread-instructions per wall second.
-func BenchmarkSimulatorThroughput(b *testing.B) {
-	cfg := TestConfig()
-	var instrs int64
-	for i := 0; i < b.N; i++ {
-		d, err := NewDevice(cfg, 1<<20, nil)
-		if err != nil {
-			b.Fatal(err)
-		}
-		in := d.MustMalloc(4096 * 4)
-		out := d.MustMalloc(4096 * 4)
-		st, err := d.Launch(vecAddKernel(64, 64, in, out))
-		if err != nil {
-			b.Fatal(err)
-		}
-		instrs += st.ThreadInstrs
-	}
-	b.ReportMetric(float64(instrs)/b.Elapsed().Seconds(), "thread-instrs/s")
-}

@@ -47,25 +47,64 @@ func (s *sm) memInstr(w *warp, in *isa.Instr, execMask uint64, cycle int64, k *K
 	}
 }
 
-// sharedInstr handles shared-memory accesses: bank-conflict timing and
-// the shared-memory RDU event. Shared atomics serialize per address.
-func (s *sm) sharedInstr(w *warp, in *isa.Instr, execMask uint64, cycle int64, k *Kernel, st *LaunchStats) {
-	b := w.block
-	var tileAddrs []uint64
-	ev := WarpMemEvent{
-		Space:       isa.SpaceShared,
+// memScratch is one SM's reusable working set for warp memory
+// instructions. An SM executes one warp instruction at a time, and the
+// detector only borrows the event for the duration of WarpMem, so the
+// steady-state memory path reuses these buffers and allocates nothing.
+// Every slice is sized by the warp size at construction.
+type memScratch struct {
+	ev     WarpMemEvent
+	active []int      // active lanes of a device-memory access, in lane order
+	addrs  []uint64   // their byte addresses (shared: tile addresses)
+	lines  []uint64   // coalesced segments, or an atomic's unique addresses
+	info   []lineInfo // per entry of lines: what the RDU learns about it
+}
+
+// lineInfo is the timing outcome of one transaction of a warp access.
+type lineInfo struct {
+	hit  bool  // the access hit the L1
+	arr  int64 // arrival at the partition (hits: L1 completion)
+	fill int64 // hits: cycle the L1 line's data was last refreshed
+	done int64 // atomics: completion of the address's transaction
+}
+
+func newMemScratch(warpSize int) memScratch {
+	return memScratch{
+		ev:     WarpMemEvent{Lanes: make([]LaneAccess, 0, warpSize)},
+		active: make([]int, 0, warpSize),
+		addrs:  make([]uint64, 0, warpSize),
+		lines:  make([]uint64, 0, 2*warpSize), // a lane may straddle two segments
+		info:   make([]lineInfo, 0, 2*warpSize),
+	}
+}
+
+// event resets the SM's reusable event for instruction in of warp w.
+func (s *sm) event(w *warp, in *isa.Instr, space isa.Space, cycle int64, k *Kernel) *WarpMemEvent {
+	ev := &s.scratch.ev
+	*ev = WarpMemEvent{
+		Space:       space,
 		Write:       in.Op == isa.OpSt,
 		Atomic:      in.Op == isa.OpAtom,
 		PC:          w.pc,
 		SM:          s.id,
-		Block:       b.id,
+		Block:       w.block.id,
 		WarpInBlock: w.inBlock,
 		Kernel:      k.Name,
 		Stmt:        in.Line,
-		SyncID:      b.syncID,
+		SyncID:      w.block.syncID,
 		FenceID:     w.fenceID,
 		Cycle:       cycle,
+		Lanes:       ev.Lanes[:0],
 	}
+	return ev
+}
+
+// sharedInstr handles shared-memory accesses: bank-conflict timing and
+// the shared-memory RDU event. Shared atomics serialize per address.
+func (s *sm) sharedInstr(w *warp, in *isa.Instr, execMask uint64, cycle int64, k *Kernel, st *LaunchStats) {
+	b := w.block
+	tileAddrs := s.scratch.addrs[:0]
+	ev := s.event(w, in, isa.SpaceShared, cycle, k)
 
 	for l := range w.lanes {
 		if execMask&(1<<uint(l)) == 0 {
@@ -95,6 +134,7 @@ func (s *sm) sharedInstr(w *warp, in *isa.Instr, execMask uint64, cycle int64, k
 			Arrival:   cycle,
 		})
 	}
+	s.scratch.addrs = tileAddrs
 
 	switch in.Op {
 	case isa.OpLd:
@@ -110,7 +150,7 @@ func (s *sm) sharedInstr(w *warp, in *isa.Instr, execMask uint64, cycle int64, k
 	if in.Op == isa.OpAtom {
 		lat += conflicts // read-modify-write pass
 	}
-	stall := s.dev.detector.WarpMem(&ev)
+	stall := s.dev.detector.WarpMem(ev)
 	st.DetectorStall += stall
 	w.readyAt = cycle + s.dev.cfg.IssueInterval() + lat + stall
 }
@@ -129,33 +169,42 @@ func (s *sm) sharedLane(in *isa.Instr, ln *lane, tile uint64) error {
 	return nil
 }
 
+// indexOf returns the index of key in list, or -1. It tries hint
+// first: consecutive lanes usually share a segment.
+func indexOf(list []uint64, key uint64, hint int) int {
+	if uint(hint) < uint(len(list)) && list[hint] == key {
+		return hint
+	}
+	for i, v := range list {
+		if v == key {
+			return i
+		}
+	}
+	return -1
+}
+
 // globalInstr handles device-memory accesses (global and local
 // spaces): coalescing, L1, interconnect, partitions, and the global
 // RDU event for global-space accesses.
 func (s *sm) globalInstr(w *warp, in *isa.Instr, execMask uint64, cycle int64, k *Kernel, st *LaunchStats, local bool) {
 	dev := s.dev
 	b := w.block
-	ws := len(w.lanes)
+	sc := &s.scratch
 
-	type laneAddr struct {
-		lane int
-		addr uint64
-	}
-	addrs := make([]laneAddr, 0, ws)
-	flat := make([]uint64, 0, ws)
-	for l := 0; l < ws; l++ {
+	active, addrs := sc.active[:0], sc.addrs[:0]
+	for l := range w.lanes {
 		if execMask&(1<<uint(l)) == 0 {
 			continue
 		}
-		ln := &w.lanes[l]
-		a := ln.regs[in.SrcA] + uint64(in.Imm)
+		a := w.lanes[l].regs[in.SrcA] + uint64(in.Imm)
 		if local {
 			gtid := uint64(b.id*b.dim + w.tidOf(l))
 			a = dev.localBase + gtid*uint64(dev.cfg.LocalBytesPerThread) + a
 		}
-		addrs = append(addrs, laneAddr{l, a})
-		flat = append(flat, a)
+		active = append(active, l)
+		addrs = append(addrs, a)
 	}
+	sc.active, sc.addrs = active, addrs
 	if len(addrs) == 0 {
 		w.readyAt = cycle + dev.cfg.IssueInterval()
 		return
@@ -163,16 +212,16 @@ func (s *sm) globalInstr(w *warp, in *isa.Instr, execMask uint64, cycle int64, k
 
 	// Functional effect, in lane order (atomics thereby serialize
 	// deterministically within the warp).
-	for _, la := range addrs {
-		ln := &w.lanes[la.lane]
+	for i, addr := range addrs {
+		ln := &w.lanes[active[i]]
 		var err error
 		switch in.Op {
 		case isa.OpLd:
-			err = loadReg(dev.Global, in, ln, la.addr)
+			err = loadReg(dev.Global, in, ln, addr)
 		case isa.OpSt:
-			err = storeReg(dev.Global, in, ln, la.addr)
+			err = storeReg(dev.Global, in, ln, addr)
 		case isa.OpAtom:
-			err = atomicApply(dev.Global, in, ln, la.addr)
+			err = atomicApply(dev.Global, in, ln, addr)
 		}
 		if err != nil {
 			s.fail(fmt.Errorf("gpu: kernel %q pc %d: %w", k.Name, w.pc, err))
@@ -201,8 +250,8 @@ func (s *sm) globalInstr(w *warp, in *isa.Instr, execMask uint64, cycle int64, k
 	// protected data volatile or it breaks under L1 caching, as the
 	// paper's Section IV-B discussion notes.
 	volatileCS := true
-	for _, la := range addrs {
-		if w.lanes[la.lane].critDepth == 0 {
+	for _, l := range active {
+		if w.lanes[l].critDepth == 0 {
 			volatileCS = false
 			break
 		}
@@ -210,44 +259,42 @@ func (s *sm) globalInstr(w *warp, in *isa.Instr, execMask uint64, cycle int64, k
 	seg := dev.cfg.SegmentBytes
 	issueDone := cycle + dev.cfg.IssueInterval()
 	maxDone := issueDone
-	lineHit := make(map[uint64]bool)
-	lineArr := make(map[uint64]int64)
-	lineFill := make(map[uint64]int64)
+	info := sc.info[:0]
 
 	if in.Op == isa.OpAtom {
-		seen := make(map[uint64]int64)
-		for _, la := range addrs {
-			lineAddr := la.addr &^ uint64(seg-1)
-			if done, dup := seen[la.addr]; dup {
-				if done > maxDone {
-					maxDone = done
+		uniq := sc.lines[:0]
+		for _, addr := range addrs {
+			if j := indexOf(uniq, addr, len(uniq)-1); j >= 0 {
+				if info[j].done > maxDone {
+					maxDone = info[j].done
 				}
 				continue
 			}
+			lineAddr := addr &^ uint64(seg-1)
 			s.l1.Invalidate(lineAddr) // atomics operate at the partition
-			part := dev.PartitionFor(la.addr)
+			part := dev.PartitionFor(addr)
 			arrive := dev.net.Send(part, cycle+1, 8)
 			l2done := dev.parts[part].Access(arrive, lineAddr, true, true, false)
 			done := dev.net.Reply(part, l2done, 8)
-			seen[la.addr] = done
-			lineArr[la.addr] = arrive
+			uniq = append(uniq, addr)
+			info = append(info, lineInfo{arr: arrive, done: done})
 			if done > maxDone {
 				maxDone = done
 			}
 		}
+		sc.lines = uniq
 		w.readyAt = maxDone
 	} else {
 		write := in.Op == isa.OpSt
-		lines := mem.Coalesce(flat, int(in.Size), seg)
-		for _, line := range lines {
+		sc.lines = mem.Coalesce(sc.lines[:0], addrs, int(in.Size), seg)
+		for _, line := range sc.lines {
 			part := dev.PartitionFor(line)
 			if volatileCS && !write {
 				s.l1.Invalidate(line) // volatile load: straight to L2
 				arrive := dev.net.Send(part, cycle+dev.cfg.L1Latency, 0)
 				l2done := dev.parts[part].Access(arrive, line, false, false, false)
 				done := dev.net.Reply(part, l2done, seg)
-				lineHit[line] = false
-				lineArr[line] = arrive
+				info = append(info, lineInfo{arr: arrive})
 				if done > maxDone {
 					maxDone = done
 				}
@@ -259,8 +306,7 @@ func (s *sm) globalInstr(w *warp, in *isa.Instr, execMask uint64, cycle int64, k
 				// the partition; it does not block the warp.
 				arrive := dev.net.Send(part, cycle+1, seg)
 				done := dev.parts[part].Access(arrive, line, true, false, false)
-				lineHit[line] = res.Hit
-				lineArr[line] = arrive
+				info = append(info, lineInfo{hit: res.Hit, arr: arrive})
 				if done > w.storeDone {
 					w.storeDone = done
 				}
@@ -268,11 +314,11 @@ func (s *sm) globalInstr(w *warp, in *isa.Instr, execMask uint64, cycle int64, k
 			}
 			if res.Hit {
 				done := cycle + dev.cfg.L1Latency
-				lineHit[line] = true
-				lineArr[line] = done
+				li := lineInfo{hit: true, arr: done}
 				if f, ok := s.l1.FillStamp(line); ok {
-					lineFill[line] = f
+					li.fill = f
 				}
+				info = append(info, li)
 				if done > maxDone {
 					maxDone = done
 				}
@@ -281,8 +327,7 @@ func (s *sm) globalInstr(w *warp, in *isa.Instr, execMask uint64, cycle int64, k
 			// MSHR merge: an in-flight fill of the same line serves
 			// this miss too, without a duplicate transaction.
 			if fill, inflight := s.mshr[line]; inflight && fill > cycle {
-				lineHit[line] = false
-				lineArr[line] = fill
+				info = append(info, lineInfo{arr: fill})
 				if fill > maxDone {
 					maxDone = fill
 				}
@@ -299,8 +344,7 @@ func (s *sm) globalInstr(w *warp, in *isa.Instr, execMask uint64, cycle int64, k
 					}
 				}
 			}
-			lineHit[line] = false
-			lineArr[line] = arrive
+			info = append(info, lineInfo{arr: arrive})
 			if done > maxDone {
 				maxDone = done
 			}
@@ -311,51 +355,41 @@ func (s *sm) globalInstr(w *warp, in *isa.Instr, execMask uint64, cycle int64, k
 			w.readyAt = maxDone
 		}
 	}
+	sc.info = info
 
 	if local {
 		return // per-thread memory cannot race
 	}
 
 	// Race-detection event: one lane access per active lane, carrying
-	// the metadata the paper's request packets transport.
-	ev := WarpMemEvent{
-		Space:       isa.SpaceGlobal,
-		Write:       in.Op == isa.OpSt,
-		Atomic:      in.Op == isa.OpAtom,
-		PC:          w.pc,
-		SM:          s.id,
-		Block:       b.id,
-		WarpInBlock: w.inBlock,
-		Kernel:      k.Name,
-		Stmt:        in.Line,
-		SyncID:      b.syncID,
-		FenceID:     w.fenceID,
-		Cycle:       cycle,
-	}
-	for _, la := range addrs {
-		ln := &w.lanes[la.lane]
-		key := la.addr
+	// the metadata the paper's request packets transport. Each lane
+	// reports the transaction of its first byte: its segment, or for
+	// atomics its address; both are always in sc.lines.
+	ev := s.event(w, in, isa.SpaceGlobal, cycle, k)
+	j := 0
+	for i, addr := range addrs {
+		l := active[i]
+		ln := &w.lanes[l]
+		key := addr
 		if in.Op != isa.OpAtom {
-			key = la.addr &^ uint64(seg-1)
+			key = addr &^ uint64(seg-1)
 		}
-		arrive, ok := lineArr[key]
-		if !ok {
-			arrive = cycle + dev.cfg.L1Latency
-		}
+		j = indexOf(sc.lines, key, j)
+		li := info[j]
 		ev.Lanes = append(ev.Lanes, LaneAccess{
-			Lane:      la.lane,
-			Tid:       w.tidOf(la.lane),
-			GTid:      b.id*b.dim + w.tidOf(la.lane),
-			Addr:      la.addr,
+			Lane:      l,
+			Tid:       w.tidOf(l),
+			GTid:      b.id*b.dim + w.tidOf(l),
+			Addr:      addr,
 			Size:      in.Size,
 			AtomicSig: ln.sig,
 			InCrit:    ln.critDepth > 0,
-			L1Hit:     lineHit[key],
-			L1Fill:    lineFill[key],
-			Arrival:   arrive,
+			L1Hit:     li.hit,
+			L1Fill:    li.fill,
+			Arrival:   li.arr,
 		})
 	}
-	stall := dev.detector.WarpMem(&ev)
+	stall := dev.detector.WarpMem(ev)
 	st.DetectorStall += stall
 	if stall > 0 {
 		w.readyAt += stall

@@ -3,6 +3,7 @@ package gpu
 import (
 	"fmt"
 	"math"
+	"math/bits"
 
 	"haccrg/internal/isa"
 	"haccrg/internal/mem"
@@ -44,18 +45,35 @@ type sm struct {
 	// fill instead of issuing a duplicate transaction.
 	mshr map[uint64]int64
 
+	scratch   memScratch // reusable working set of the memory path
+	freeLanes [][]lane   // lane arrays of retired warps, reused by place
+
 	pendingErr error
 }
 
 func newSM(id int, dev *Device) *sm {
 	return &sm{
-		id:     id,
-		dev:    dev,
-		shared: mem.NewShared(dev.cfg.Shared),
-		l1:     mem.MustNewCache(dev.cfg.L1),
-		blocks: make([]*block, dev.cfg.MaxBlocksPerSM),
-		mshr:   make(map[uint64]int64),
+		id:      id,
+		dev:     dev,
+		shared:  mem.NewShared(dev.cfg.Shared),
+		l1:      mem.MustNewCache(dev.cfg.L1),
+		blocks:  make([]*block, dev.cfg.MaxBlocksPerSM),
+		mshr:    make(map[uint64]int64),
+		scratch: newMemScratch(dev.cfg.WarpSize),
 	}
+}
+
+// takeLanes returns a zeroed lane array for a new warp, reusing one
+// from a retired warp when it can.
+func (s *sm) takeLanes() []lane {
+	n := len(s.freeLanes)
+	if n == 0 {
+		return make([]lane, s.dev.cfg.WarpSize)
+	}
+	lanes := s.freeLanes[n-1]
+	s.freeLanes = s.freeLanes[:n-1]
+	clear(lanes)
+	return lanes
 }
 
 // freeSlot returns a residency slot index for a new block, or -1.
@@ -94,7 +112,7 @@ func (s *sm) place(slot int, bid int, k *Kernel, startCycle int64) {
 	}
 	s.dev.detector.BlockStart(s.id, b.sharedBase, k.SharedBytes)
 	for wi := 0; wi < nw; wi++ {
-		w := newWarp(b, wi, ws)
+		w := newWarp(b, wi, s.takeLanes())
 		w.readyAt = startCycle
 		b.warps = append(b.warps, w)
 		s.warps = append(s.warps, w)
@@ -110,6 +128,10 @@ func (s *sm) retire(b *block) int {
 			s.blocks[i] = nil
 			slot = i
 		}
+	}
+	for _, w := range b.warps {
+		s.freeLanes = append(s.freeLanes, w.lanes)
+		w.lanes = nil
 	}
 	live := s.warps[:0]
 	for _, w := range s.warps {
@@ -211,7 +233,7 @@ func (s *sm) exec(w *warp, cycle int64, k *Kernel, st *LaunchStats) {
 	in := &k.Prog.Code[w.pc]
 	execMask := w.guardMask(in)
 	st.WarpInstrs++
-	st.ThreadInstrs += int64(popcount64(execMask))
+	st.ThreadInstrs += int64(bits.OnesCount64(execMask))
 	issueDone := cycle + s.dev.cfg.IssueInterval()
 
 	switch in.Op {
@@ -382,12 +404,4 @@ func (s *sm) fail(err error) {
 	if s.pendingErr == nil {
 		s.pendingErr = err
 	}
-}
-
-func popcount64(m uint64) int {
-	n := 0
-	for ; m != 0; m &= m - 1 {
-		n++
-	}
-	return n
 }

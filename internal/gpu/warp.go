@@ -60,9 +60,11 @@ func fullMask(n int) uint64 {
 	return 1<<uint(n) - 1
 }
 
-// newWarp builds warp w of a block; tail warps of a non-multiple block
-// dimension start with only the valid lanes alive.
-func newWarp(b *block, inBlock, warpSize int) *warp {
+// newWarp builds warp w of a block over a zeroed lane array whose
+// length is the warp size; tail warps of a non-multiple block dimension
+// start with only the valid lanes alive.
+func newWarp(b *block, inBlock int, lanes []lane) *warp {
+	warpSize := len(lanes)
 	base := inBlock * warpSize
 	n := b.dim - base
 	if n > warpSize {
@@ -72,7 +74,7 @@ func newWarp(b *block, inBlock, warpSize int) *warp {
 		block:   b,
 		inBlock: inBlock,
 		rcv:     -1,
-		lanes:   make([]lane, warpSize),
+		lanes:   lanes,
 		mask:    fullMask(n),
 		alive:   fullMask(n),
 	}

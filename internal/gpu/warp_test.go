@@ -10,7 +10,7 @@ import (
 // the divergence machinery.
 func mkTestWarp(n int) *warp {
 	b := &block{id: 0, dim: n}
-	return newWarp(b, 0, n)
+	return newWarp(b, 0, make([]lane, n))
 }
 
 func TestWarpMasksAtCreation(t *testing.T) {
@@ -20,7 +20,7 @@ func TestWarpMasksAtCreation(t *testing.T) {
 	}
 	// Tail warp of a 40-thread block: warp 1 has 8 lanes.
 	b := &block{id: 0, dim: 40}
-	tail := newWarp(b, 1, 32)
+	tail := newWarp(b, 1, make([]lane, 32))
 	if tail.mask != 0xFF || tail.alive != 0xFF {
 		t.Fatalf("tail warp masks wrong: %x %x", tail.mask, tail.alive)
 	}

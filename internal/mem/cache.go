@@ -74,11 +74,12 @@ type cacheLine struct {
 // simulator executes functionally at issue).
 type Cache struct {
 	cfg   CacheConfig
-	sets  [][]cacheLine
+	lines []cacheLine // set-major: set i is lines[i*Assoc : (i+1)*Assoc]
 	stamp uint64
 	Stats CacheStats
 
 	lineShift uint
+	tagShift  uint
 	setMask   uint64
 }
 
@@ -88,14 +89,12 @@ func NewCache(cfg CacheConfig) (*Cache, error) {
 		return nil, err
 	}
 	sets := cfg.SizeBytes / cfg.LineBytes / cfg.Assoc
-	c := &Cache{cfg: cfg, sets: make([][]cacheLine, sets)}
-	for i := range c.sets {
-		c.sets[i] = make([]cacheLine, cfg.Assoc)
-	}
+	c := &Cache{cfg: cfg, lines: make([]cacheLine, sets*cfg.Assoc)}
 	for ls := cfg.LineBytes; ls > 1; ls >>= 1 {
 		c.lineShift++
 	}
 	c.setMask = uint64(sets - 1)
+	c.tagShift = uint(len64(c.setMask))
 	return c, nil
 }
 
@@ -117,7 +116,8 @@ func (c *Cache) LineAddr(addr uint64) uint64 { return addr &^ (uint64(c.cfg.Line
 
 func (c *Cache) locate(addr uint64) (set []cacheLine, tag uint64) {
 	line := addr >> c.lineShift
-	return c.sets[line&c.setMask], line >> uint64(len64(c.setMask))
+	first := int(line&c.setMask) * c.cfg.Assoc
+	return c.lines[first : first+c.cfg.Assoc], line >> c.tagShift
 }
 
 func len64(mask uint64) int {
@@ -220,7 +220,7 @@ func (c *Cache) FillStamp(addr uint64) (int64, bool) {
 // set index of the incoming address (same set by construction).
 func (c *Cache) reconstruct(tag, incoming uint64) uint64 {
 	setIdx := (incoming >> c.lineShift) & c.setMask
-	return (tag<<uint64(len64(c.setMask))|setIdx)<<c.lineShift | 0
+	return (tag<<c.tagShift | setIdx) << c.lineShift
 }
 
 // Probe reports whether addr is present without touching LRU or stats.
@@ -253,9 +253,5 @@ func (c *Cache) Invalidate(addr uint64) bool {
 // Flush invalidates the entire cache (kernel boundary semantics for
 // non-coherent L1s).
 func (c *Cache) Flush() {
-	for s := range c.sets {
-		for i := range c.sets[s] {
-			c.sets[s][i] = cacheLine{}
-		}
-	}
+	clear(c.lines)
 }

@@ -73,7 +73,7 @@ func TestPropertyCoalesceCovers(t *testing.T) {
 		for _, r := range raw {
 			addrs = append(addrs, uint64(r))
 		}
-		segs := Coalesce(addrs, size, 128)
+		segs := Coalesce(nil, addrs, size, 128)
 		if len(segs) > 2*len(addrs) {
 			return false
 		}
@@ -104,7 +104,7 @@ func TestPropertyCoalesceAlignedUnique(t *testing.T) {
 		for _, r := range raw {
 			addrs = append(addrs, uint64(r))
 		}
-		segs := Coalesce(addrs, 4, 128)
+		segs := Coalesce(nil, addrs, 4, 128)
 		seen := map[uint64]bool{}
 		for _, s := range segs {
 			if s%128 != 0 || seen[s] {

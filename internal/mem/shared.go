@@ -17,6 +17,11 @@ type Shared struct {
 	cfg SharedConfig
 	Mem *Memory
 
+	// ConflictCyclesFor scratch: per-bank distinct-word counts (zero
+	// between calls) and the words of the current access.
+	perBank []int64
+	words   []uint64
+
 	// Stats.
 	Accesses       int64
 	ConflictCycles int64
@@ -24,46 +29,58 @@ type Shared struct {
 
 // NewShared allocates a shared-memory tile.
 func NewShared(cfg SharedConfig) *Shared {
-	return &Shared{cfg: cfg, Mem: NewMemory("shared", cfg.SizeBytes)}
+	return &Shared{cfg: cfg, Mem: NewMemory("shared", cfg.SizeBytes), perBank: make([]int64, cfg.Banks)}
 }
 
 // Config returns the tile geometry.
 func (s *Shared) Config() SharedConfig { return s.cfg }
 
-// ConflictCycles computes how many cycles a warp's shared-memory
+// ConflictCyclesFor computes how many cycles a warp's shared-memory
 // access occupies: the maximum number of distinct words mapped to any
 // single bank (accesses to the same word broadcast and count once).
 // addrs lists the byte addresses of active lanes only.
+//
+// Counting uses per-bank counters kept on the tile and a linear
+// duplicate check over the words seen so far (at most one per lane),
+// so the steady state allocates nothing.
 func (s *Shared) ConflictCyclesFor(addrs []uint64) int64 {
 	if len(addrs) == 0 {
 		return 0
 	}
-	// Per bank, count distinct word addresses.
-	type bw struct {
-		bank int
-		word uint64
-	}
-	seen := make(map[bw]struct{}, len(addrs))
-	perBank := make(map[int]int64, s.cfg.Banks)
+	width, banks := uint64(s.cfg.BankWidth), uint64(s.cfg.Banks)
+	words := s.words[:0]
+	var maxC int64 = 1
 	for _, a := range addrs {
-		word := a / uint64(s.cfg.BankWidth)
-		bank := int(word % uint64(s.cfg.Banks))
-		k := bw{bank, word}
-		if _, dup := seen[k]; dup {
+		word := a / width
+		bank := word % banks
+		// A word is new unless its bank already counts one.
+		if s.perBank[bank] > 0 && hasWord(words, word) {
 			continue // broadcast
 		}
-		seen[k] = struct{}{}
-		perBank[bank]++
-	}
-	var maxC int64 = 1
-	for _, c := range perBank {
-		if c > maxC {
+		words = append(words, word)
+		s.perBank[bank]++
+		if c := s.perBank[bank]; c > maxC {
 			maxC = c
 		}
 	}
+	for _, w := range words {
+		s.perBank[w%banks] = 0
+	}
+	s.words = words
 	s.Accesses++
 	s.ConflictCycles += maxC - 1
 	return maxC
+}
+
+// hasWord reports whether words holds w, newest first: broadcasts
+// usually repeat the last word.
+func hasWord(words []uint64, w uint64) bool {
+	for i := len(words) - 1; i >= 0; i-- {
+		if words[i] == w {
+			return true
+		}
+	}
+	return false
 }
 
 // Clear zeroes the tile (block launch semantics).

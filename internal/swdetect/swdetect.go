@@ -12,6 +12,7 @@ import (
 	"haccrg/internal/core"
 	"haccrg/internal/gpu"
 	"haccrg/internal/isa"
+	"haccrg/internal/mem"
 )
 
 // CostModel sets the per-access instrumentation charges.
@@ -40,6 +41,11 @@ type Detector struct {
 	inner *core.Detector
 	cost  CostModel
 	env   gpu.Env
+
+	// WarpMem scratch: the shadow entries a warp touches and their
+	// distinct lines, in first-touch order.
+	entries []uint64
+	lines   []uint64
 
 	// Stats.
 	InstrStallCycles int64
@@ -109,21 +115,22 @@ func (d *Detector) WarpMem(ev *gpu.WarpMemEvent) int64 {
 	if d.cost.ShadowUpdate {
 		// One shadow read + one shadow write per distinct shadow line
 		// the warp's lanes touch, through the demand path, blocking.
+		// Lines are visited in first-touch order, so the demand traffic
+		// (and hence the stall) is deterministic.
 		gran := uint64(opt.GlobalGranularity)
 		if ev.Space == isa.SpaceShared {
 			gran = uint64(opt.SharedGranularity)
 		}
 		const entryBytes = 8
-		seg := uint64(cfg.SegmentBytes)
-		lines := make(map[uint64]struct{}, 2)
+		d.entries = d.entries[:0]
 		for i := range ev.Lanes {
-			la := &ev.Lanes[i]
-			sa := d.env.ShadowBase() + (la.Addr/gran)*entryBytes
-			lines[sa&^(seg-1)] = struct{}{}
+			d.entries = append(d.entries, d.env.ShadowBase()+(ev.Lanes[i].Addr/gran)*entryBytes)
 		}
+		// Each entry counts on the line of its first byte.
+		d.lines = mem.Coalesce(d.lines[:0], d.entries, 1, cfg.SegmentBytes)
 		when := ev.Cycle + stall
 		latest := when
-		for line := range lines {
+		for _, line := range d.lines {
 			var t2 int64
 			if d.cost.AtomicShadow {
 				// Shadow entries are updated with a CAS that bypasses
