@@ -137,6 +137,76 @@ func BenchmarkSimulatorThroughput(b *testing.B) {
 		}
 		b.ReportMetric(float64(instrs)/b.Elapsed().Seconds(), "thread-instrs/s")
 	})
+	// Host time per issued warp instruction of an ALU-bound loop, on
+	// one reused device: with every SM fully occupied, and as a grid
+	// of four blocks on the 30-SM Table I machine, where most SMs hold
+	// no work.
+	aluRun := func(b *testing.B, cfg gpu.Config, grid int) {
+		b.ReportAllocs()
+		d := gpu.MustNewDevice(cfg, 1<<16, nil)
+		k := aluLoop(grid, 256, 64)
+		var winstrs int64
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			st, err := d.Launch(k)
+			if err != nil {
+				b.Fatal(err)
+			}
+			winstrs += st.WarpInstrs
+		}
+		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(winstrs), "ns/warp-instr")
+	}
+	b.Run("alu-full", func(b *testing.B) { aluRun(b, gpu.TestConfig(), fullGrid(gpu.TestConfig())) })
+	b.Run("sparse", func(b *testing.B) { aluRun(b, gpu.DefaultConfig(), 4) })
+}
+
+// aluLoop builds an ALU-bound kernel: every thread runs trips
+// iterations of integer arithmetic on registers, with no memory
+// traffic after the parameter-free preamble.
+func aluLoop(grid, blockDim int, trips int64) *gpu.Kernel {
+	b := isa.NewBuilder("aluloop")
+	b.Sreg(aTid, isa.SregGtid)
+	b.Movi(aVal, 1)
+	b.Movi(aOld, 0)
+	b.Setpi(0, isa.CmpLT, aOld, trips)
+	b.While(0)
+	b.Add(aVal, aVal, aTid)
+	b.Xor(aAddr, aVal, aTid)
+	b.Shli(aBase, aAddr, 1)
+	b.Mul(aVal, aBase, aVal)
+	b.Addi(aOld, aOld, 1)
+	b.Setpi(0, isa.CmpLT, aOld, trips)
+	b.EndWhile()
+	b.Exit()
+	return &gpu.Kernel{Name: "aluloop", Prog: b.MustBuild(), GridDim: grid, BlockDim: blockDim}
+}
+
+// fullGrid is the block count that fills every SM of cfg with
+// 256-thread blocks.
+func fullGrid(cfg gpu.Config) int {
+	return cfg.NumSMs * min(cfg.MaxBlocksPerSM, cfg.MaxThreadsPerSM/256)
+}
+
+// TestLaunchAllocsIndependentOfTripCount pins the steady-state issue
+// loop at zero allocations: a launch of an ALU kernel allocates only
+// its per-launch bookkeeping (blocks, warps, stats), so sixteen times
+// the loop trips must not add a single allocation.
+func TestLaunchAllocsIndependentOfTripCount(t *testing.T) {
+	cfg := gpu.TestConfig()
+	d := gpu.MustNewDevice(cfg, 1<<16, nil)
+	allocs := func(trips int64) float64 {
+		k := aluLoop(fullGrid(cfg), 256, trips)
+		return testing.AllocsPerRun(5, func() {
+			if _, err := d.Launch(k); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	short, long := allocs(16), allocs(256)
+	if long > short {
+		t.Errorf("launch allocations grow with trip count: %v allocs at 16 trips, %v at 256", short, long)
+	}
+	t.Logf("%v allocs per launch at 16 and %v at 256 trips", short, long)
 }
 
 // vecAdd builds out[i] = in[i] + 1 over grid*blockDim threads.

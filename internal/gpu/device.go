@@ -33,6 +33,10 @@ type Device struct {
 	partMask  uint64
 	partsPow2 bool
 
+	// issueInterval is cfg.IssueInterval(), needed several times per
+	// issued instruction.
+	issueInterval int64
+
 	allocPtr  uint64
 	localBase uint64
 
@@ -41,10 +45,22 @@ type Device struct {
 	nextBlock  int
 	blocksLeft int
 	now        int64
-	liveBlocks map[int]*block
-	fenceHist  map[int][]uint32 // retired blocks' final fence IDs
 	maxSync    uint32
 	maxFence   uint32
+
+	// Block bookkeeping, indexed by block ID and reused across
+	// launches: live holds resident blocks (nil before placement and
+	// after retirement), fenceHist the final fence IDs of retired ones
+	// (nil until the block retires).
+	live      []*block
+	fenceHist [][]uint32
+
+	// Scheduler state, one entry per SM: next is the earliest cycle the
+	// SM can issue (earliestReady), free the cycle its issue pipeline
+	// frees (freeAt). Only an SM's own issue changes either, so each
+	// scheduler step refreshes just the SMs that issued.
+	next []int64
+	free []int64
 }
 
 // NewDevice builds a GPU with the given configuration and device
@@ -57,15 +73,16 @@ func NewDevice(cfg Config, globalBytes int, det Detector) (*Device, error) {
 		det = NopDetector{}
 	}
 	d := &Device{
-		cfg:        cfg,
-		Global:     mem.NewMemory("global", globalBytes),
-		net:        noc.New(cfg.NoC, cfg.NumPartitions),
-		detector:   det,
-		liveBlocks: make(map[int]*block),
-		fenceHist:  make(map[int][]uint32),
-		segShift:   uint(bits.TrailingZeros64(uint64(cfg.SegmentBytes))),
-		partMask:   uint64(cfg.NumPartitions - 1),
-		partsPow2:  cfg.NumPartitions&(cfg.NumPartitions-1) == 0,
+		cfg:           cfg,
+		Global:        mem.NewMemory("global", globalBytes),
+		net:           noc.New(cfg.NoC, cfg.NumPartitions),
+		detector:      det,
+		segShift:      uint(bits.TrailingZeros64(uint64(cfg.SegmentBytes))),
+		partMask:      uint64(cfg.NumPartitions - 1),
+		partsPow2:     cfg.NumPartitions&(cfg.NumPartitions-1) == 0,
+		issueInterval: cfg.IssueInterval(),
+		next:          make([]int64, cfg.NumSMs),
+		free:          make([]int64, cfg.NumSMs),
 	}
 	for w := Detector(det); w != nil; {
 		if d.fenceObs == nil {
@@ -154,6 +171,16 @@ const watchdogStride = 1024
 // analyzable. Execution faults (bad memory accesses) likewise return
 // partial stats alongside the error.
 func (d *Device) LaunchContext(ctx context.Context, k *Kernel, lim LaunchLimits) (*LaunchStats, error) {
+	st, err := d.startLaunch(ctx, k)
+	if err != nil {
+		return nil, err
+	}
+	return d.schedule(ctx, k, lim, st)
+}
+
+// startLaunch validates k, resets the per-launch device and SM state,
+// and places the first wave of blocks.
+func (d *Device) startLaunch(ctx context.Context, k *Kernel) (*LaunchStats, error) {
 	if err := k.Validate(&d.cfg); err != nil {
 		return nil, err
 	}
@@ -169,15 +196,7 @@ func (d *Device) LaunchContext(ctx context.Context, k *Kernel, lim LaunchLimits)
 		d.localBase = base
 	}
 
-	st := &LaunchStats{Kernel: k.Name}
-	d.launch = k
-	d.nextBlock = 0
-	d.blocksLeft = k.GridDim
-	d.now = 0
-	d.maxSync = 0
-	d.maxFence = 0
-	clear(d.liveBlocks)
-	clear(d.fenceHist)
+	d.resetLaunch(k)
 
 	// Fresh per-launch component state: non-coherent L1s are invalid
 	// at kernel boundaries; stats counters restart.
@@ -207,7 +226,47 @@ func (d *Device) LaunchContext(ctx context.Context, k *Kernel, lim LaunchLimits)
 			d.placeNext(s, slot)
 		}
 	}
+	return &LaunchStats{Kernel: k.Name}, nil
+}
 
+// resetLaunch makes k the current kernel with no block placed yet.
+func (d *Device) resetLaunch(k *Kernel) {
+	d.launch = k
+	d.nextBlock = 0
+	d.blocksLeft = k.GridDim
+	d.now = 0
+	d.maxSync = 0
+	d.maxFence = 0
+	d.live = reuse(d.live, k.GridDim)
+	d.fenceHist = reuse(d.fenceHist, k.GridDim)
+}
+
+// reuse returns s resized to n zero elements, keeping its array when
+// it is large enough.
+func reuse[T any](s []T, n int) []T {
+	if cap(s) < n {
+		return make([]T, n)
+	}
+	s = s[:n]
+	clear(s)
+	return s
+}
+
+// schedule runs the launch's issue loop to completion or abort. Each
+// step advances the clock to the earliest cycle any SM can issue,
+// counts the SMs whose issue pipeline is free then (IssueSlots), and
+// lets exactly the SMs ready at that cycle issue, in SM index order.
+// An SM's readiness changes only through its own issue — block
+// placement, barrier release and retirement all act on the issuing SM
+// — so only those SMs need their next/free entries recomputed, and the
+// same pass finds the following step's clock.
+func (d *Device) schedule(ctx context.Context, k *Kernel, lim LaunchLimits, st *LaunchStats) (*LaunchStats, error) {
+	now := int64(math.MaxInt64)
+	for i, s := range d.sms {
+		d.next[i], d.free[i] = s.earliestReady(), s.freeAt()
+		now = min(now, d.next[i])
+	}
+	next, free := d.next, d.free
 	var iter int64
 	for d.blocksLeft > 0 {
 		iter++
@@ -216,28 +275,31 @@ func (d *Device) LaunchContext(ctx context.Context, k *Kernel, lim LaunchLimits)
 				return d.finalize(st, k), d.hangError(k, HangCanceled, err)
 			}
 		}
-		next := int64(math.MaxInt64)
-		for _, s := range d.sms {
-			if t := s.earliestReady(); t < next {
-				next = t
-			}
-		}
-		if next == math.MaxInt64 {
+		if now == math.MaxInt64 {
 			return d.finalize(st, k), d.hangError(k, HangDeadlock, nil)
 		}
-		if lim.MaxCycles > 0 && next > lim.MaxCycles {
+		if lim.MaxCycles > 0 && now > lim.MaxCycles {
 			return d.finalize(st, k), d.hangError(k, HangCycleBudget, nil)
 		}
-		d.now = next
-		for _, s := range d.sms {
-			if len(s.warps) > 0 && s.issueFree <= next {
+		d.now = now
+		upcoming := int64(math.MaxInt64)
+		for i := range next {
+			// An SM ready now has a free pipeline (earliestReady is at
+			// least issueFree), so only free SMs need the ready test.
+			if free[i] <= now {
 				st.IssueSlots++
+				if next[i] == now {
+					s := d.sms[i]
+					s.issue(now, k, st)
+					if s.pendingErr != nil {
+						return d.finalize(st, k), s.pendingErr
+					}
+					next[i], free[i] = s.earliestReady(), s.freeAt()
+				}
 			}
-			s.issue(next, k, st)
-			if s.pendingErr != nil {
-				return d.finalize(st, k), s.pendingErr
-			}
+			upcoming = min(upcoming, next[i])
 		}
+		now = upcoming
 	}
 
 	d.detector.KernelEnd()
@@ -290,29 +352,25 @@ func (d *Device) placeNext(s *sm, slot int) {
 	bid := d.nextBlock
 	d.nextBlock++
 	s.place(slot, bid, d.launch, d.now)
-	d.liveBlocks[bid] = s.blocks[slot]
+	d.live[bid] = s.blocks[slot]
 }
 
-// blockFinished is called by an SM when a block retires.
-func (d *Device) blockFinished(s *sm, slot int) {
+// blockFinished is called by SM s when block b retires from slot.
+func (d *Device) blockFinished(s *sm, b *block, slot int) {
 	// Preserve final fence IDs for late RDU lookups, and track the
 	// logical-clock maxima (Section VI-A2's ID-sizing data).
-	for bid, b := range d.liveBlocks {
-		if b.sm == s && b.liveWarp == 0 {
-			ids := make([]uint32, len(b.warps))
-			for i, w := range b.warps {
-				ids[i] = w.fenceID
-				if w.fenceID > d.maxFence {
-					d.maxFence = w.fenceID
-				}
-			}
-			if b.syncID > d.maxSync {
-				d.maxSync = b.syncID
-			}
-			d.fenceHist[bid] = ids
-			delete(d.liveBlocks, bid)
+	ids := make([]uint32, len(b.warps))
+	for i, w := range b.warps {
+		ids[i] = w.fenceID
+		if w.fenceID > d.maxFence {
+			d.maxFence = w.fenceID
 		}
 	}
+	if b.syncID > d.maxSync {
+		d.maxSync = b.syncID
+	}
+	d.fenceHist[b.id] = ids
+	d.live[b.id] = nil
 	d.blocksLeft--
 	if d.nextBlock < d.launch.GridDim && slot >= 0 {
 		d.placeNext(s, slot)
@@ -383,13 +441,16 @@ func (d *Device) GlobalMemSize() uint64 { return uint64(d.Global.Size()) }
 
 // CurrentFenceID implements Env: the race-register-file lookup.
 func (d *Device) CurrentFenceID(blockID, warpInBlock int) uint32 {
-	if b, ok := d.liveBlocks[blockID]; ok {
+	if blockID < 0 || blockID >= len(d.live) || warpInBlock < 0 {
+		return 0
+	}
+	if b := d.live[blockID]; b != nil {
 		if warpInBlock < len(b.warps) {
 			return b.warps[warpInBlock].fenceID
 		}
 		return 0
 	}
-	if ids, ok := d.fenceHist[blockID]; ok && warpInBlock < len(ids) {
+	if ids := d.fenceHist[blockID]; warpInBlock < len(ids) {
 		return ids[warpInBlock]
 	}
 	return 0

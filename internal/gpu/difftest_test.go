@@ -177,7 +177,8 @@ func (g *progGen) build(outBase uint64) *isa.Program {
 // scalarRef executes the program for one thread with purely scalar
 // semantics: branches taken iff the guard holds for this thread.
 func scalarRef(t *testing.T, prog *isa.Program, tid int, params []uint64, mem []byte) [dtOutRegs]uint64 {
-	var ln lane
+	lanes := make([]lane, 1)
+	ln := &lanes[0]
 	pc := 0
 	steps := 0
 	load := func(addr uint64, size int) uint64 {
@@ -234,19 +235,23 @@ func scalarRef(t *testing.T, prog *isa.Program, tid int, params []uint64, mem []
 			pc++
 		default:
 			if guard {
-				aluLane(in, &ln, func(k isa.SregKind) uint64 {
-					switch k {
-					case isa.SregTid, isa.SregGtid:
-						return uint64(tid)
-					case isa.SregNtid:
-						return dtThreads
-					case isa.SregLane:
-						return uint64(tid % 32)
-					case isa.SregWarp:
-						return uint64(tid / 32)
-					}
-					return 0
-				})
+				aluWarp(in, lanes, 1)
+			}
+			pc++
+		case isa.OpSreg:
+			if guard {
+				var v uint64
+				switch isa.SregKind(in.Imm) {
+				case isa.SregTid, isa.SregGtid:
+					v = uint64(tid)
+				case isa.SregNtid:
+					v = dtThreads
+				case isa.SregLane:
+					v = uint64(tid % 32)
+				case isa.SregWarp:
+					v = uint64(tid / 32)
+				}
+				ln.regs[in.Dst] = v
 			}
 			pc++
 		}

@@ -12,7 +12,7 @@ import (
 // at issue, timing through the shared-memory banks or the
 // L1/NoC/partition path, plus the race-detection event.
 func (s *sm) memInstr(w *warp, in *isa.Instr, execMask uint64, cycle int64, k *Kernel, st *LaunchStats) {
-	issueDone := cycle + s.dev.cfg.IssueInterval()
+	issueDone := cycle + s.dev.issueInterval
 
 	switch in.Space {
 	case isa.SpaceParam:
@@ -152,7 +152,7 @@ func (s *sm) sharedInstr(w *warp, in *isa.Instr, execMask uint64, cycle int64, k
 	}
 	stall := s.dev.detector.WarpMem(ev)
 	st.DetectorStall += stall
-	w.readyAt = cycle + s.dev.cfg.IssueInterval() + lat + stall
+	w.readyAt = cycle + s.dev.issueInterval + lat + stall
 }
 
 // sharedLane applies the functional effect of one lane's shared access.
@@ -206,7 +206,7 @@ func (s *sm) globalInstr(w *warp, in *isa.Instr, execMask uint64, cycle int64, k
 	}
 	sc.active, sc.addrs = active, addrs
 	if len(addrs) == 0 {
-		w.readyAt = cycle + dev.cfg.IssueInterval()
+		w.readyAt = cycle + dev.issueInterval
 		return
 	}
 
@@ -257,7 +257,7 @@ func (s *sm) globalInstr(w *warp, in *isa.Instr, execMask uint64, cycle int64, k
 		}
 	}
 	seg := dev.cfg.SegmentBytes
-	issueDone := cycle + dev.cfg.IssueInterval()
+	issueDone := cycle + dev.issueInterval
 	maxDone := issueDone
 	info := sc.info[:0]
 

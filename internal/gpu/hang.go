@@ -2,7 +2,6 @@ package gpu
 
 import (
 	"fmt"
-	"sort"
 	"strings"
 )
 
@@ -112,13 +111,10 @@ func (d *Device) hangError(k *Kernel, reason HangReason, cause error) *HangError
 		BlocksLeft: d.blocksLeft,
 		Cause:      cause,
 	}
-	ids := make([]int, 0, len(d.liveBlocks))
-	for bid := range d.liveBlocks {
-		ids = append(ids, bid)
-	}
-	sort.Ints(ids)
-	for _, bid := range ids {
-		b := d.liveBlocks[bid]
+	for bid, b := range d.live {
+		if b == nil {
+			continue
+		}
 		bd := BlockDiag{
 			Block:     bid,
 			SM:        b.sm.id,

@@ -76,25 +76,6 @@ func (s *sm) takeLanes() []lane {
 	return lanes
 }
 
-// freeSlot returns a residency slot index for a new block, or -1.
-func (s *sm) freeSlot(limit int) int {
-	resident := 0
-	for _, b := range s.blocks {
-		if b != nil {
-			resident++
-		}
-	}
-	if resident >= limit {
-		return -1
-	}
-	for i := 0; i < limit && i < len(s.blocks); i++ {
-		if s.blocks[i] == nil {
-			return i
-		}
-	}
-	return -1
-}
-
 // place installs a block into a residency slot and creates its warps.
 func (s *sm) place(slot int, bid int, k *Kernel, startCycle int64) {
 	ws := s.dev.cfg.WarpSize
@@ -168,19 +149,27 @@ func (s *sm) earliestReady() int64 {
 	return earliest
 }
 
-// issue attempts to issue one warp instruction at the given cycle.
-// Returns true if an instruction was issued.
-func (s *sm) issue(cycle int64, k *Kernel, st *LaunchStats) bool {
+// freeAt returns the cycle this SM's issue pipeline frees, or
+// math.MaxInt64 if it holds no warps (it has no issue slot to count).
+func (s *sm) freeAt() int64 {
+	if len(s.warps) == 0 {
+		return math.MaxInt64
+	}
+	return s.issueFree
+}
+
+// issue issues one warp instruction at the given cycle, if a warp is
+// ready and the issue pipeline is free.
+func (s *sm) issue(cycle int64, k *Kernel, st *LaunchStats) {
 	if s.issueFree > cycle || len(s.warps) == 0 {
-		return false
+		return
 	}
 	w := s.pick(cycle)
 	if w == nil {
-		return false
+		return
 	}
 	s.exec(w, cycle, k, st)
-	s.issueFree = cycle + s.dev.cfg.IssueInterval()
-	return true
+	s.issueFree = cycle + s.dev.issueInterval
 }
 
 // pick selects the next warp under the configured scheduling policy.
@@ -234,7 +223,7 @@ func (s *sm) exec(w *warp, cycle int64, k *Kernel, st *LaunchStats) {
 	execMask := w.guardMask(in)
 	st.WarpInstrs++
 	st.ThreadInstrs += int64(bits.OnesCount64(execMask))
-	issueDone := cycle + s.dev.cfg.IssueInterval()
+	issueDone := cycle + s.dev.issueInterval
 
 	switch in.Op {
 	case isa.OpBra:
@@ -308,19 +297,21 @@ func (s *sm) exec(w *warp, cycle int64, k *Kernel, st *LaunchStats) {
 		s.memInstr(w, in, execMask, cycle, k, st)
 		w.pc++
 		return
+
+	case isa.OpSreg:
+		kind := isa.SregKind(in.Imm)
+		for m := execMask; m != 0; m &= m - 1 {
+			l := bits.TrailingZeros64(m)
+			w.lanes[l].regs[in.Dst] = s.sreg(w, l, kind)
+		}
+		w.readyAt = issueDone
+		w.pc++
+		return
 	}
 
 	// Plain ALU / SFU instruction.
-	for l := range w.lanes {
-		if execMask&(1<<uint(l)) == 0 {
-			continue
-		}
-		li := l
-		aluLane(in, &w.lanes[l], func(kind isa.SregKind) uint64 {
-			return s.sreg(w, li, kind)
-		})
-	}
-	lat := s.dev.cfg.IssueInterval()
+	aluWarp(in, w.lanes, execMask)
+	lat := s.dev.issueInterval
 	switch in.Op {
 	case isa.OpFDiv, isa.OpFSqrt, isa.OpFExp, isa.OpFLog, isa.OpFSin, isa.OpFCos:
 		lat = s.dev.cfg.SFULatency
@@ -358,12 +349,11 @@ func (s *sm) blockWarpDone(w *warp) {
 	b := w.block
 	b.liveWarp--
 	if b.liveWarp == 0 {
-		slot := s.retire(b)
-		s.dev.blockFinished(s, slot)
+		s.dev.blockFinished(s, b, s.retire(b))
 		return
 	}
 	if b.arrived >= b.liveWarp {
-		s.releaseBarrier(b, w.readyAt, nil)
+		s.releaseBarrier(b, w.readyAt)
 	}
 }
 
@@ -371,11 +361,11 @@ func (s *sm) blockWarpDone(w *warp) {
 func (s *sm) barrier(w *warp, cycle int64, st *LaunchStats) {
 	b := w.block
 	w.state = warpAtBarrier
-	w.readyAt = cycle + s.dev.cfg.IssueInterval()
+	w.readyAt = cycle + s.dev.issueInterval
 	b.arrived++
 	if b.arrived >= b.liveWarp {
 		st.Barriers++
-		release := cycle + s.dev.cfg.IssueInterval()
+		release := cycle + s.dev.issueInterval
 		// Sync-ID increment, gated on global-memory activity since the
 		// last barrier (the paper's optimization keeping sync IDs small).
 		if b.globalSinceBar || s.dev.cfg.AlwaysBumpSyncID {
@@ -384,11 +374,11 @@ func (s *sm) barrier(w *warp, cycle int64, st *LaunchStats) {
 		}
 		stall := s.dev.detector.Barrier(s.id, b.id, b.sharedBase, b.sharedSize, cycle)
 		st.DetectorStall += stall
-		s.releaseBarrier(b, release+stall, st)
+		s.releaseBarrier(b, release+stall)
 	}
 }
 
-func (s *sm) releaseBarrier(b *block, at int64, _ *LaunchStats) {
+func (s *sm) releaseBarrier(b *block, at int64) {
 	b.arrived = 0
 	for _, w := range b.warps {
 		if w.state == warpAtBarrier {

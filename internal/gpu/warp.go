@@ -2,6 +2,7 @@ package gpu
 
 import (
 	"math"
+	"math/bits"
 
 	"haccrg/internal/bloom"
 	"haccrg/internal/isa"
@@ -163,120 +164,141 @@ func (w *warp) exit(execMask uint64) {
 	}
 }
 
-// aluLane executes a non-memory, non-control instruction for one lane.
-func aluLane(in *isa.Instr, ln *lane, sr func(isa.SregKind) uint64) {
-	src := func(r isa.Reg) uint64 { return ln.regs[r] }
-	b := func() uint64 {
-		if in.UseImm {
-			return uint64(in.Imm)
-		}
-		return src(in.SrcB)
-	}
-	f := func(r isa.Reg) float64 { return math.Float64frombits(ln.regs[r]) }
-	fb := func() float64 {
-		if in.UseImm {
-			return math.Float64frombits(uint64(in.Imm))
-		}
-		return f(in.SrcB)
-	}
-	setF := func(v float64) { ln.regs[in.Dst] = math.Float64bits(v) }
-
+// aluWarp executes a non-memory, non-control instruction for the
+// lanes set in mask. It dispatches on the opcode once per warp
+// instruction, and each case runs its own lane loop. Special-register
+// reads (OpSreg) need the warp's identity and are executed by the SM,
+// not here.
+func aluWarp(in *isa.Instr, lanes []lane, mask uint64) {
 	switch in.Op {
 	case isa.OpNop:
 	case isa.OpMov:
-		if in.UseImm {
-			ln.regs[in.Dst] = uint64(in.Imm)
-		} else {
-			ln.regs[in.Dst] = src(in.SrcA)
-		}
-	case isa.OpSreg:
-		ln.regs[in.Dst] = sr(isa.SregKind(in.Imm))
+		intOp(in, lanes, mask, func(a, b uint64) uint64 {
+			if in.UseImm {
+				return b
+			}
+			return a
+		})
 	case isa.OpSelp:
-		if ln.preds[in.PD] {
-			ln.regs[in.Dst] = src(in.SrcA)
-		} else {
-			ln.regs[in.Dst] = src(in.SrcC)
+		for m := mask; m != 0; m &= m - 1 {
+			ln := &lanes[bits.TrailingZeros64(m)]
+			if ln.preds[in.PD] {
+				ln.regs[in.Dst] = ln.regs[in.SrcA]
+			} else {
+				ln.regs[in.Dst] = ln.regs[in.SrcC]
+			}
+		}
+	case isa.OpMad:
+		for m := mask; m != 0; m &= m - 1 {
+			ln := &lanes[bits.TrailingZeros64(m)]
+			b := uint64(in.Imm)
+			if !in.UseImm {
+				b = ln.regs[in.SrcB]
+			}
+			ln.regs[in.Dst] = uint64(int64(ln.regs[in.SrcA])*int64(b) + int64(ln.regs[in.SrcC]))
 		}
 	case isa.OpAdd:
-		ln.regs[in.Dst] = src(in.SrcA) + b()
+		intOp(in, lanes, mask, func(a, b uint64) uint64 { return a + b })
 	case isa.OpSub:
-		ln.regs[in.Dst] = src(in.SrcA) - b()
+		intOp(in, lanes, mask, func(a, b uint64) uint64 { return a - b })
 	case isa.OpMul:
-		ln.regs[in.Dst] = uint64(int64(src(in.SrcA)) * int64(b()))
+		intOp(in, lanes, mask, func(a, b uint64) uint64 { return uint64(int64(a) * int64(b)) })
 	case isa.OpDiv:
-		d := int64(b())
-		if d == 0 {
-			ln.regs[in.Dst] = 0
-		} else {
-			ln.regs[in.Dst] = uint64(int64(src(in.SrcA)) / d)
-		}
+		intOp(in, lanes, mask, func(a, b uint64) uint64 {
+			if b == 0 {
+				return 0
+			}
+			return uint64(int64(a) / int64(b))
+		})
 	case isa.OpRem:
-		d := int64(b())
-		if d == 0 {
-			ln.regs[in.Dst] = 0
-		} else {
-			ln.regs[in.Dst] = uint64(int64(src(in.SrcA)) % d)
-		}
+		intOp(in, lanes, mask, func(a, b uint64) uint64 {
+			if b == 0 {
+				return 0
+			}
+			return uint64(int64(a) % int64(b))
+		})
 	case isa.OpMin:
-		x, y := int64(src(in.SrcA)), int64(b())
-		if y < x {
-			x = y
-		}
-		ln.regs[in.Dst] = uint64(x)
+		intOp(in, lanes, mask, func(a, b uint64) uint64 { return uint64(min(int64(a), int64(b))) })
 	case isa.OpMax:
-		x, y := int64(src(in.SrcA)), int64(b())
-		if y > x {
-			x = y
-		}
-		ln.regs[in.Dst] = uint64(x)
+		intOp(in, lanes, mask, func(a, b uint64) uint64 { return uint64(max(int64(a), int64(b))) })
 	case isa.OpAnd:
-		ln.regs[in.Dst] = src(in.SrcA) & b()
+		intOp(in, lanes, mask, func(a, b uint64) uint64 { return a & b })
 	case isa.OpOr:
-		ln.regs[in.Dst] = src(in.SrcA) | b()
+		intOp(in, lanes, mask, func(a, b uint64) uint64 { return a | b })
 	case isa.OpXor:
-		ln.regs[in.Dst] = src(in.SrcA) ^ b()
+		intOp(in, lanes, mask, func(a, b uint64) uint64 { return a ^ b })
 	case isa.OpNot:
-		ln.regs[in.Dst] = ^src(in.SrcA)
+		intOp(in, lanes, mask, func(a, _ uint64) uint64 { return ^a })
 	case isa.OpShl:
-		ln.regs[in.Dst] = src(in.SrcA) << (b() & 63)
+		intOp(in, lanes, mask, func(a, b uint64) uint64 { return a << (b & 63) })
 	case isa.OpShr:
-		ln.regs[in.Dst] = uint64(int64(src(in.SrcA)) >> (b() & 63))
-	case isa.OpMad:
-		ln.regs[in.Dst] = uint64(int64(src(in.SrcA))*int64(b()) + int64(src(in.SrcC)))
-	case isa.OpFAdd:
-		setF(f(in.SrcA) + fb())
-	case isa.OpFSub:
-		setF(f(in.SrcA) - fb())
-	case isa.OpFMul:
-		setF(f(in.SrcA) * fb())
-	case isa.OpFDiv:
-		setF(f(in.SrcA) / fb())
-	case isa.OpFMin:
-		setF(math.Min(f(in.SrcA), fb()))
-	case isa.OpFMax:
-		setF(math.Max(f(in.SrcA), fb()))
-	case isa.OpFSqrt:
-		setF(math.Sqrt(f(in.SrcA)))
-	case isa.OpFExp:
-		setF(math.Exp(f(in.SrcA)))
-	case isa.OpFLog:
-		setF(math.Log(f(in.SrcA)))
-	case isa.OpFSin:
-		setF(math.Sin(f(in.SrcA)))
-	case isa.OpFCos:
-		setF(math.Cos(f(in.SrcA)))
-	case isa.OpFAbs:
-		setF(math.Abs(f(in.SrcA)))
+		intOp(in, lanes, mask, func(a, b uint64) uint64 { return uint64(int64(a) >> (b & 63)) })
 	case isa.OpItoF:
-		setF(float64(int64(src(in.SrcA))))
+		intOp(in, lanes, mask, func(a, _ uint64) uint64 { return u64(float64(int64(a))) })
 	case isa.OpFtoI:
-		ln.regs[in.Dst] = uint64(int64(f(in.SrcA)))
+		intOp(in, lanes, mask, func(a, _ uint64) uint64 { return uint64(int64(f64(a))) })
+	case isa.OpFAdd:
+		intOp(in, lanes, mask, func(a, b uint64) uint64 { return u64(f64(a) + f64(b)) })
+	case isa.OpFSub:
+		intOp(in, lanes, mask, func(a, b uint64) uint64 { return u64(f64(a) - f64(b)) })
+	case isa.OpFMul:
+		intOp(in, lanes, mask, func(a, b uint64) uint64 { return u64(f64(a) * f64(b)) })
+	case isa.OpFDiv:
+		intOp(in, lanes, mask, func(a, b uint64) uint64 { return u64(f64(a) / f64(b)) })
+	case isa.OpFMin:
+		intOp(in, lanes, mask, func(a, b uint64) uint64 { return u64(math.Min(f64(a), f64(b))) })
+	case isa.OpFMax:
+		intOp(in, lanes, mask, func(a, b uint64) uint64 { return u64(math.Max(f64(a), f64(b))) })
+	case isa.OpFSqrt:
+		intOp(in, lanes, mask, func(a, _ uint64) uint64 { return u64(math.Sqrt(f64(a))) })
+	case isa.OpFExp:
+		intOp(in, lanes, mask, func(a, _ uint64) uint64 { return u64(math.Exp(f64(a))) })
+	case isa.OpFLog:
+		intOp(in, lanes, mask, func(a, _ uint64) uint64 { return u64(math.Log(f64(a))) })
+	case isa.OpFSin:
+		intOp(in, lanes, mask, func(a, _ uint64) uint64 { return u64(math.Sin(f64(a))) })
+	case isa.OpFCos:
+		intOp(in, lanes, mask, func(a, _ uint64) uint64 { return u64(math.Cos(f64(a))) })
+	case isa.OpFAbs:
+		intOp(in, lanes, mask, func(a, _ uint64) uint64 { return u64(math.Abs(f64(a))) })
 	case isa.OpSetp:
-		ln.preds[in.PD] = intCmp(in.Cmp, int64(src(in.SrcA)), int64(b()))
+		for m := mask; m != 0; m &= m - 1 {
+			ln := &lanes[bits.TrailingZeros64(m)]
+			b := uint64(in.Imm)
+			if !in.UseImm {
+				b = ln.regs[in.SrcB]
+			}
+			ln.preds[in.PD] = intCmp(in.Cmp, int64(ln.regs[in.SrcA]), int64(b))
+		}
 	case isa.OpFSetp:
-		ln.preds[in.PD] = floatCmp(in.Cmp, f(in.SrcA), fb())
+		for m := mask; m != 0; m &= m - 1 {
+			ln := &lanes[bits.TrailingZeros64(m)]
+			b := uint64(in.Imm)
+			if !in.UseImm {
+				b = ln.regs[in.SrcB]
+			}
+			ln.preds[in.PD] = floatCmp(in.Cmp, f64(ln.regs[in.SrcA]), f64(b))
+		}
 	}
 }
+
+// intOp applies op to each masked lane's SrcA and second operand (the
+// immediate, or SrcB) and writes Dst. It is small enough to inline, so
+// each case's op inlines into its own lane loop.
+func intOp(in *isa.Instr, lanes []lane, mask uint64, op func(a, b uint64) uint64) {
+	for m := mask; m != 0; m &= m - 1 {
+		r := &lanes[bits.TrailingZeros64(m)].regs
+		b := uint64(in.Imm)
+		if !in.UseImm {
+			b = r[in.SrcB]
+		}
+		r[in.Dst] = op(r[in.SrcA], b)
+	}
+}
+
+// f64 and u64 reinterpret a register as a float64 and back.
+func f64(r uint64) float64 { return math.Float64frombits(r) }
+func u64(f float64) uint64 { return math.Float64bits(f) }
 
 func intCmp(c isa.CmpOp, a, b int64) bool {
 	switch c {

@@ -109,13 +109,47 @@ type job struct {
 	status JobStatus
 	spec   *JobSpec
 	done   chan struct{}
+	// spooled is set once the terminal status is durably in the spool
+	// and its payload (runs, replay and analyze results) has been
+	// dropped from status: full snapshots are then read back from the
+	// spool, so memory stays bounded by the jobs in flight.
+	spooled bool
 }
 
+// snapshot copies the in-memory status. For a spooled job it lacks the
+// payload; Server.status serves the full record.
 func (j *job) snapshot() JobStatus {
 	j.mu.Lock()
 	defer j.mu.Unlock()
 	st := j.status
 	return st
+}
+
+// evict drops the payload of a job whose terminal status is spooled.
+func (j *job) evict() {
+	j.mu.Lock()
+	defer j.mu.Unlock()
+	j.status.Runs, j.status.Replay, j.status.Analyze = nil, nil, nil
+	j.spooled = true
+}
+
+// status returns a job's full status: from memory while the job is
+// live (or its status could not be spooled), from the spool after.
+func (s *Server) status(j *job) JobStatus {
+	j.mu.Lock()
+	st, spooled := j.status, j.spooled
+	j.mu.Unlock()
+	if !spooled {
+		return st
+	}
+	full, err := s.spool.getStatus(st.ID)
+	if err != nil {
+		// The record was durable when the payload was dropped; serve
+		// what memory still holds rather than nothing.
+		s.cfg.Log.Printf("service: job %s: reading spooled status: %v", st.ID, err)
+		return st
+	}
+	return full
 }
 
 func (j *job) setState(state string, at time.Time) {
@@ -236,8 +270,10 @@ func (s *Server) recover() error {
 			},
 		}
 		if e.Status != nil {
-			// Terminal before the restart: history only.
+			// Terminal before the restart: history only, served from
+			// the spool like any finished job.
 			j.status = *e.Status
+			j.evict()
 			close(j.done)
 			s.jobs[e.ID] = j
 			continue
@@ -416,21 +452,24 @@ func (s *Server) Job(id string) (JobStatus, bool) {
 	if j == nil {
 		return JobStatus{}, false
 	}
-	return j.snapshot(), true
+	return s.status(j), true
 }
 
 // Jobs lists status snapshots for one tenant (all tenants when tenant
 // is empty), newest first by enqueue time.
 func (s *Server) Jobs(tenant string) []JobStatus {
 	s.mu.Lock()
-	out := make([]JobStatus, 0, len(s.jobs))
+	match := make([]*job, 0, len(s.jobs))
 	for _, j := range s.jobs {
-		st := j.snapshot()
-		if tenant == "" || st.Tenant == tenant {
-			out = append(out, st)
+		if tenant == "" || j.snapshot().Tenant == tenant {
+			match = append(match, j)
 		}
 	}
 	s.mu.Unlock()
+	out := make([]JobStatus, 0, len(match))
+	for _, j := range match {
+		out = append(out, s.status(j))
+	}
 	return out
 }
 
@@ -444,9 +483,9 @@ func (s *Server) Wait(ctx context.Context, id string) (JobStatus, error) {
 	}
 	select {
 	case <-j.done:
-		return j.snapshot(), nil
+		return s.status(j), nil
 	case <-ctx.Done():
-		return j.snapshot(), ctx.Err()
+		return s.status(j), ctx.Err()
 	}
 }
 
@@ -569,6 +608,8 @@ func (s *Server) finish(j *job, state string, jobErr error) {
 		// The result is still served from memory; the restart will
 		// re-run the job (idempotent for bench jobs via the manifest).
 		s.cfg.Log.Printf("service: job %s: persisting status: %v", st.ID, err)
+	} else {
+		j.evict()
 	}
 	switch state {
 	case StateDone:

@@ -117,6 +117,22 @@ func (s *spool) putStatus(st *JobStatus) error {
 	return writeSynced(s.fsys, s.statusPath(st.ID), data)
 }
 
+// getStatus reads back a terminal status putStatus recorded.
+func (s *spool) getStatus(id string) (JobStatus, error) {
+	var st JobStatus
+	data, err := s.fsys.ReadFile(s.statusPath(id))
+	if err != nil {
+		return st, err
+	}
+	if err := json.Unmarshal(data, &st); err != nil {
+		return st, fmt.Errorf("service: spool status %s: %w", id, err)
+	}
+	if st.ID != id {
+		return st, fmt.Errorf("service: spool status %s: holds job %q", id, st.ID)
+	}
+	return st, nil
+}
+
 // drop removes every trace of a job that was never fully admitted
 // (e.g. spec persisted, then the queue turned out to be full).
 func (s *spool) drop(id string) {
